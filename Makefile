@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr10
-PREV_PR ?= pr9
+PR ?= pr13
+PREV_PR ?= pr10
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # portfolio, the HTTP daemon pipeline, and the registry-scale lazy suite
@@ -43,7 +43,7 @@ race:
 bench:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -benchtime=$(BENCHTIME) -benchmem \
 		./internal/concretize/ ./resolve/ ./serve/ | tee .bench_raw.txt
-	./scripts/benchjson.sh $(PR) < .bench_raw.txt > $(BENCH_JSON)
+	./scripts/benchjson.sh $(PR) '$(BENCH_PATTERN)' < .bench_raw.txt > $(BENCH_JSON)
 	@rm -f .bench_raw.txt
 	@echo "wrote $(BENCH_JSON)"
 

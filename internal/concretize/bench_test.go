@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
+	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
 // The BenchmarkConcretize* benchmarks are the repo's perf baseline: each
@@ -240,7 +241,7 @@ func BenchmarkConcretizeUnsatWeb(b *testing.B) {
 //     re-solve all eight shapes cold. The warm/cold ratio is the payoff of
 //     in-place extension with delta-scoped invalidation.
 //   - SessionExtend: the Extend call alone (skeleton growth plus
-//     invalidation sweep), isolating the delta-application cost itself.
+//     invalidation), isolating the delta-application cost itself.
 //
 // Both churn benchmarks rebuild the universe every 64 deltas (off the
 // clock) so steady-state cost is measured rather than unbounded catalog
@@ -366,4 +367,76 @@ func BenchmarkSessionExtend(b *testing.B) {
 			b.Fatalf("Extend: %v", err)
 		}
 	}
+}
+
+// BenchmarkSessionExtendFullCache times an Extend that touches no cached
+// shape on a session whose bound memo (DefaultSessionMaxActivations
+// entries) and solution cache (DefaultSessionCacheSize entries) are full
+// of minimal-change shapes over the eight churn clusters. Each delta adds
+// a version to one of the spare packages no shape reaches, so every entry
+// survives: the measured cost is the delta application plus whatever
+// invalidation bookkeeping scales with what the caches hold.
+func BenchmarkSessionExtendFullCache(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		lazy bool
+	}{{"eager", false}, {"lazy", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sess := fullCacheSession(b, mode.lazy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := repo.NewDelta()
+				d.Add(fmt.Sprintf("spare%d", i%fullCacheSpares), fmt.Sprintf("1.%d", i/fullCacheSpares+1))
+				if _, err := sess.Extend(d); err != nil {
+					b.Fatalf("Extend: %v", err)
+				}
+			}
+			b.StopTimer()
+			if got := sess.CacheLen(); got != DefaultSessionCacheSize {
+				b.Fatalf("CacheLen = %d after untouched deltas, want %d", got, DefaultSessionCacheSize)
+			}
+		})
+	}
+}
+
+const fullCacheSpares = 64
+
+// fullCacheSession builds a session over the churn clusters plus
+// fullCacheSpares single-version packages nothing depends on, then
+// resolves DefaultSessionMaxActivations distinct minimal-change shapes so
+// the bound memo is full and the solution cache holds the most recent
+// DefaultSessionCacheSize answers. Shape i roots cluster i%8 and carries
+// a profile whose versions over that cluster and the next spell out i/8
+// in base 4.
+func fullCacheSession(tb testing.TB, lazy bool) *Session {
+	tb.Helper()
+	u := benchChurnUniverse()
+	for s := 0; s < fullCacheSpares; s++ {
+		u.Add(fmt.Sprintf("spare%d", s), "1.0")
+	}
+	sess := NewSession(u, SessionOptions{Lazy: lazy})
+	for i := 0; i < DefaultSessionMaxActivations; i++ {
+		c := i % churnClusters
+		next := (c + 1) % churnClusters
+		names := []string{
+			fmt.Sprintf("root%d", c), fmt.Sprintf("mid%d", c), fmt.Sprintf("leaf%d", c),
+			fmt.Sprintf("root%d", next), fmt.Sprintf("mid%d", next),
+		}
+		prof := repo.Profile{}
+		for j, n := i/churnClusters, 0; n < len(names); j, n = j/4, n+1 {
+			prof[names[n]] = version.MustParse(fmt.Sprintf("%d.0", j%4+1))
+		}
+		roots := []Root{{Pkg: names[0]}}
+		if _, err := sess.Resolve(context.Background(), roots, Options{Objective: MinimalChange(prof)}); err != nil {
+			tb.Fatalf("fill Resolve %d: %v", i, err)
+		}
+	}
+	if got := sess.CacheLen(); got != DefaultSessionCacheSize {
+		tb.Fatalf("CacheLen = %d after fill, want %d", got, DefaultSessionCacheSize)
+	}
+	if got := sess.bounds.len(); got != DefaultSessionMaxActivations {
+		tb.Fatalf("bound memo holds %d entries after fill, want %d", got, DefaultSessionMaxActivations)
+	}
+	return sess
 }

@@ -107,11 +107,13 @@
 // conflicts) are revived — instead of rebuilding the session. Learnt
 // clauses are dropped once per delta (widening invalidates them), while
 // VSIDS activity and saved phases persist. Invalidation of the solution
-// cache and the bound memo is delta-scoped: each entry records the names
-// its request could reach, and only entries intersecting the delta's
-// touched set are evicted, so a request untouched by a delta keeps its
-// cached answer with zero new solver work. Stats.Epoch reports the
-// universe epoch an answer was computed at.
+// cache and the bound memo is delta-scoped: entries share one closure
+// record per canonical root set (the names its requests could reach),
+// indexed by name, and only the entries of closures reaching the delta's
+// touched names are evicted — an apply costs what it touches, not what
+// the caches hold — so a request untouched by a delta keeps its cached
+// answer with zero new solver work. Stats.Epoch reports the universe
+// epoch an answer was computed at.
 //
 // Lazy materialization. SessionOptions.Lazy (lazy.go) defers the skeleton
 // entirely: construction encodes nothing, and each request materializes
@@ -126,7 +128,7 @@
 // by the same ForgetLearnts discipline Extend uses. Deltas touching only
 // unmaterialized names park: the name is dirty-marked and its clauses
 // simply materialize post-delta when first reached, with no learnt-clause
-// drop and no cache sweep beyond the reach-scoped invalidation above.
+// drop and no cache eviction beyond the closure-scoped invalidation above.
 // EncodingStats reports coverage (materialized packages and solver
 // variables against the bound universe) for observability.
 package concretize
@@ -400,9 +402,9 @@ func rootTargets(u *repo.Universe, r Root) ([]string, error) {
 // set can never be installed, so the declarations it guards stay dormant.
 // The order scopes a request's objective and decoded picks.
 //
-// The second result is the request shape's recorded reach set — the name
-// universe whose growth can change this shape's answer, which delta-scoped
-// invalidation intersects with each delta's touched names. It holds the
+// The second result is the root set's reach set, kept on its closure
+// record — the name universe whose growth can change any answer over the
+// roots, which indexes the closure for delta-scoped invalidation. It holds the
 // reachable packages plus every name a traversed dependency or root
 // targets, even when the name currently matches nothing (an unknown or
 // empty-range target: a delta adding it must invalidate). Conflict targets

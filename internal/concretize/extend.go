@@ -15,9 +15,11 @@ import (
 // by the delta (exactly-one rows, requirement-definition disjunctions,
 // provider selections) are re-emitted through their handles, parked
 // declarations whose targets the delta grew are revived, and only the
-// solution-cache / bound-memo entries whose recorded reach set intersects
-// the delta's touched names are invalidated. Activation literals for
-// untouched roots — and everything the solver learnt about them — survive.
+// solution-cache / bound-memo entries whose root set's closure reaches one
+// of the delta's touched names are invalidated, found through the
+// session's name-to-closure index without visiting any other entry.
+// Activation literals for untouched roots — and everything the solver
+// learnt about them — survive.
 //
 // The epoch contract: when the bound universe is at the session's epoch,
 // Extend applies the delta to it (repo.Universe.Apply) and then extends
@@ -200,9 +202,9 @@ func (se *Session) extendLocked(d *repo.Delta) {
 	// Delta-scoped invalidation. Activations whose target name is dirty
 	// carry stale candidate clauses: deactivate them permanently (a later
 	// request re-allocates). Cache and bound-memo entries fall only when
-	// their recorded reach set intersects the dirty names; everything else
-	// — including the learnt clauses and phases backing those shapes —
-	// survives the delta untouched.
+	// their closure reaches a dirty name; everything else — including the
+	// learnt clauses and phases backing those shapes — survives the delta
+	// untouched.
 	for el := se.actsLRU.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*actEntry)
@@ -213,28 +215,7 @@ func (se *Session) extendLocked(d *repo.Delta) {
 		}
 		el = next
 	}
-	touches := func(reach map[string]bool) bool {
-		if len(reach) < len(dirty) {
-			for n := range reach {
-				if dirty[n] {
-					return true
-				}
-			}
-			return false
-		}
-		for n := range dirty {
-			if reach[n] {
-				return true
-			}
-		}
-		return false
-	}
-	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.reach) })
-	if se.cache != nil {
-		se.cacheMu.Lock()
-		se.cache.sweep(func(_ string, e cacheEntry) bool { return touches(e.reach) })
-		se.cacheMu.Unlock()
-	}
+	se.invalidateClosures(dirty)
 	se.syncEncodingStats()
 }
 

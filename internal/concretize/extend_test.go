@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
+	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
 // assertWarmMatchesCold resolves roots through the warm session and a
@@ -457,5 +458,183 @@ func TestExtendConcurrentWithResolve(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		roots := []Root{{Pkg: fmt.Sprintf("root%d", c)}}
 		assertWarmMatchesCold(t, sess, u, roots, fmt.Sprintf("final root%d", c))
+	}
+}
+
+// TestExtendClosureIndex pins closure-indexed invalidation in both session
+// modes. Three root sets with disjoint closures each serve many
+// minimal-change shapes; the solution cache holds the newer half of them
+// and the bound memo all of them. A delta outside every closure keeps
+// every entry, and a delta reaching one closure — through a package or
+// through a provided virtual — drops exactly that root set's entries from
+// both memo layers. Separately, once LRU eviction has removed every entry
+// of a closure, the index holds no record of it.
+func TestExtendClosureIndex(t *testing.T) {
+	sets := []string{"A", "B", "C"}
+	const perSet = 12
+	const cacheSize = perSet * 3 / 2 // shapes j >= perSet/2 stay cached
+
+	newUniverse := func() *repo.Universe {
+		u := repo.New()
+		for _, x := range sets {
+			for _, v := range []string{"3.0", "2.0", "1.0"} {
+				u.Add("app"+x, v, repo.Dep("lib"+x, ":"))
+				if x == "C" {
+					u.Add("libC", v, repo.Dep("mpiC", ":"))
+					u.Add("baseC", v, repo.Prov("mpiC", v))
+				} else {
+					u.Add("lib"+x, v, repo.Dep("base"+x, ":"))
+					u.Add("base"+x, v)
+				}
+			}
+		}
+		u.Add("spare", "1.0")
+		return u
+	}
+	// shape j of root set x: root app<x> under the minimal-change profile
+	// whose versions of app<x>, lib<x>, base<x> spell j in base 3.
+	shape := func(x string, j int) ([]Root, Options) {
+		prof := repo.Profile{}
+		for n, name := range []string{"app" + x, "lib" + x, "base" + x} {
+			d := j
+			for k := 0; k < n; k++ {
+				d /= 3
+			}
+			prof[name] = version.MustParse(fmt.Sprintf("%d.0", d%3+1))
+		}
+		return []Root{MustParseRoot("app" + x)}, Options{Objective: MinimalChange(prof)}
+	}
+	key := func(x string, j int) string {
+		roots, opts := shape(x, j)
+		return ShapeKey(opts.Objective, roots)
+	}
+	resolveShape := func(t *testing.T, se *Session, x string, j int) *Resolution {
+		t.Helper()
+		roots, opts := shape(x, j)
+		res, err := se.Resolve(context.Background(), roots, opts)
+		if err != nil {
+			t.Fatalf("resolve %s/%d: %v", x, j, err)
+		}
+		return res
+	}
+	// indexed counts the distinct closures the name index refers to, and
+	// fails when it refers to one the session no longer holds.
+	indexed := func(t *testing.T, se *Session) int {
+		t.Helper()
+		seen := map[*closure]bool{}
+		for name, byName := range se.closuresByName {
+			for cl := range byName {
+				if se.closures[cl.key] != cl {
+					t.Fatalf("name %q indexes a closure the session no longer holds", name)
+				}
+				if !cl.reach[name] {
+					t.Fatalf("name %q indexes a closure whose reach lacks it", name)
+				}
+				seen[cl] = true
+			}
+		}
+		return len(seen)
+	}
+
+	for _, mode := range []struct {
+		name string
+		lazy bool
+	}{{"eager", false}, {"lazy", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				name    string
+				delta   func(d *repo.Delta)
+				dropped string // root set whose closure the delta reaches
+			}{
+				{"outside every closure", func(d *repo.Delta) { d.Add("spare", "2.0") }, ""},
+				{"through a package", func(d *repo.Delta) { d.Add("libA", "4.0", repo.Dep("baseA", ":")) }, "A"},
+				{"through a provided virtual", func(d *repo.Delta) {
+					// A costlier provider (it drags in spare), so the
+					// optimum stays unique.
+					d.Add("extraC", "1.0", repo.Prov("mpiC", "9.0"), repo.Dep("spare", ":"))
+				}, "C"},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					u := newUniverse()
+					se := NewSession(u, SessionOptions{Lazy: mode.lazy, CacheSize: cacheSize})
+					for j := 0; j < perSet; j++ {
+						for _, x := range sets {
+							resolveShape(t, se, x, j)
+						}
+					}
+					if got := len(se.closures); got != len(sets) {
+						t.Fatalf("%d closures after fill, want one per root set (%d)", got, len(sets))
+					}
+
+					d := repo.NewDelta()
+					tc.delta(d)
+					if _, err := se.Extend(d); err != nil {
+						t.Fatalf("Extend: %v", err)
+					}
+
+					wantCached, wantClosures := cacheSize, len(sets)
+					if tc.dropped != "" {
+						wantCached -= cacheSize / len(sets)
+						wantClosures--
+					}
+					if got := se.CacheLen(); got != wantCached {
+						t.Errorf("CacheLen = %d after the delta, want %d", got, wantCached)
+					}
+					if got, idx := len(se.closures), indexed(t, se); got != wantClosures || idx != wantClosures {
+						t.Errorf("%d closures held, %d indexed after the delta, want %d", got, idx, wantClosures)
+					}
+					for _, x := range sets {
+						live := x != tc.dropped
+						for j := 0; j < perSet; j++ {
+							if got, want := se.HasCached(key(x, j)), live && j >= perSet/2; got != want {
+								t.Errorf("HasCached(%s/%d) = %v, want %v", x, j, got, want)
+							}
+							if _, got := se.bounds.peek(key(x, j)); got != live {
+								t.Errorf("bound memo holds %s/%d = %v, want %v", x, j, got, live)
+							}
+						}
+					}
+					// Shapes only the bound memo held re-solve on their
+					// banked bound exactly when their closure survived.
+					for _, x := range sets {
+						for j := 0; j < perSet/2; j++ {
+							res := resolveShape(t, se, x, j)
+							if res.Stats.SolutionCacheHit {
+								t.Errorf("%s/%d served from a cache that never held it", x, j)
+							}
+							if got, want := res.Stats.BoundMemoHit, x != tc.dropped; got != want {
+								t.Errorf("%s/%d BoundMemoHit = %v after the delta, want %v", x, j, got, want)
+							}
+						}
+						assertWarmMatchesCold(t, se, u, []Root{MustParseRoot("app" + x)}, "post-delta "+x)
+					}
+				})
+			}
+
+			t.Run("eviction unindexes", func(t *testing.T) {
+				se := NewSession(newUniverse(), SessionOptions{Lazy: mode.lazy, CacheSize: 4, MaxActivations: 8})
+				for j := 0; j < 8; j++ {
+					resolveShape(t, se, "A", j)
+				}
+				if got := indexed(t, se); got != 1 {
+					t.Fatalf("%d closures indexed after filling A, want 1", got)
+				}
+				for j := 0; j < 8; j++ {
+					resolveShape(t, se, "B", j)
+				}
+				if got, idx := len(se.closures), indexed(t, se); got != 1 || idx != 1 {
+					t.Fatalf("%d closures held, %d indexed once every A entry was evicted, want 1", got, idx)
+				}
+				for _, name := range []string{"appA", "libA", "baseA"} {
+					if n := len(se.closuresByName[name]); n != 0 {
+						t.Errorf("index keeps %d closures under evicted %q", n, name)
+					}
+				}
+				resolveShape(t, se, "A", 0)
+				if got := indexed(t, se); got != 2 {
+					t.Errorf("%d closures indexed after A re-entered, want 2", got)
+				}
+			})
+		})
 	}
 }

@@ -74,9 +74,9 @@ type SessionOptions struct {
 //
 // A live universe grows through Session.Extend (see extend.go): the
 // skeleton is widened in place and only the cache/memo entries whose
-// recorded reach set intersects the delta are invalidated, which is what
-// keeps shape keys (rather than fingerprint-qualified keys) sound across
-// epochs.
+// root set's closure reaches a name the delta touched are invalidated,
+// which is what keeps shape keys (rather than fingerprint-qualified keys)
+// sound across epochs.
 //
 // A Session is safe for concurrent use: cache lookups take a read lock and
 // solver access is serialized. The universe must not be mutated behind the
@@ -143,11 +143,20 @@ type Session struct {
 	supsByName    map[string][]string
 	pendingByName map[string][]declSite
 
-	// bounds memoizes per-request-shape solve facts that stay valid for
-	// the session's lifetime: the reachability order, the lowered
-	// objective terms, and — the warm-path keystone — the proven lower
-	// bound on the optimal cost. Guarded by mu.
+	// bounds memoizes per-request-shape solve facts that stay valid until
+	// a delta touches the shape's closure: the reachability closure, the
+	// lowered objective terms, and — the warm-path keystone — the proven
+	// lower bound on the optimal cost. Guarded by mu.
 	bounds *lru[*boundEntry]
+
+	// closures holds one record per canonical root set that some
+	// bound-memo or solution-cache entry refers to, and closuresByName
+	// indexes them by every name in their reach set, so Extend finds the
+	// entries a delta invalidates from the delta's touched names alone.
+	// Both are guarded by mu (every insertion into and removal from the
+	// two LRUs happens under mu) and never outgrow the LRUs' contents.
+	closures       map[string]*closure
+	closuresByName map[string]map[*closure]struct{}
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
 	// assumption literals, the guarded PB term copy handed to the solver,
@@ -225,22 +234,24 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 // request-scoped sessions skip the Extend-only site bookkeeping.
 func newSession(u *repo.Universe, names []string, opts SessionOptions, full bool) *Session {
 	se := &Session{
-		u:             u,
-		full:          full,
-		epoch:         u.Epoch(),
-		solver:        sat.NewWithConfig(opts.Solver),
-		vars:          make(map[string]*pkgVars),
-		virts:         make(map[string]*virtVars),
-		defs:          make(map[string]*reqDef),
-		defsByName:    make(map[string][]string),
-		sups:          make(map[string]*supEntry),
-		supsByName:    make(map[string][]string),
-		pendingByName: make(map[string][]declSite),
-		acts:          make(map[string]*list.Element),
-		actsLRU:       list.New(),
-		actsMax:       opts.MaxActivations,
-		pinnedBuf:     make(map[sat.Lit]bool),
-		byPartBuf:     make(map[string]Root),
+		u:              u,
+		full:           full,
+		epoch:          u.Epoch(),
+		solver:         sat.NewWithConfig(opts.Solver),
+		vars:           make(map[string]*pkgVars),
+		virts:          make(map[string]*virtVars),
+		defs:           make(map[string]*reqDef),
+		defsByName:     make(map[string][]string),
+		sups:           make(map[string]*supEntry),
+		supsByName:     make(map[string][]string),
+		pendingByName:  make(map[string][]declSite),
+		acts:           make(map[string]*list.Element),
+		actsLRU:        list.New(),
+		actsMax:        opts.MaxActivations,
+		closures:       make(map[string]*closure),
+		closuresByName: make(map[string]map[*closure]struct{}),
+		pinnedBuf:      make(map[sat.Lit]bool),
+		byPartBuf:      make(map[string]Root),
 	}
 	se.epochA.Store(uint64(se.epoch))
 	if se.actsMax == 0 {
@@ -248,13 +259,13 @@ func newSession(u *repo.Universe, names []string, opts SessionOptions, full bool
 	}
 	// The bound memo shares the activation memo's capacity policy: both
 	// grow with the number of distinct request shapes a session serves.
-	se.bounds = newLRU[*boundEntry](se.actsMax)
+	se.bounds = newLRU(se.actsMax, func(key string, b *boundEntry) { se.detachClosure(b.cl, key, false) })
 	size := opts.CacheSize
 	if size == 0 {
 		size = DefaultSessionCacheSize
 	}
 	if size > 0 {
-		se.cache = newLRU[cacheEntry](size)
+		se.cache = newLRU(size, func(key string, e cacheEntry) { se.detachClosure(e.cl, key, true) })
 	}
 	// Lazy sessions materialize per reachable subgraph on first touch (see
 	// lazy.go); only full-universe sessions qualify — Concretize's
@@ -671,7 +682,13 @@ func ShapeKey(obj Objective, roots []Root) string {
 // shapeKey joins an objective identity with already-canonicalized root
 // parts; Session.Resolve uses it directly to avoid re-canonicalizing.
 func shapeKey(obj Objective, parts []string) string {
-	return obj.Key() + "\x00" + strings.Join(parts, "\x1f")
+	return obj.Key() + "\x00" + rootSetKey(parts)
+}
+
+// rootSetKey joins canonical root parts into the key of their closure
+// record — the objective-free suffix of every shape key over those roots.
+func rootSetKey(parts []string) string {
+	return strings.Join(parts, "\x1f")
 }
 
 // Resolve answers one concretization request on the warm path. The result
@@ -736,60 +753,62 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 // goarxivlint:blocking
 func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, shapeKey string, obj Objective, opts Options) (*Resolution, error) {
 	// The bound memo remembers, per request shape, everything a repeat
-	// solve can reuse: the reachability order, the lowered objective
+	// solve can reuse: the reachability closure, the lowered objective
 	// terms, and the proven lower bound on the optimal cost. All three
-	// stay valid for the session's lifetime — the universe is immutable,
-	// the objective is a pure function of (universe, order, roots), and a
-	// bound proven under the request's activation assumptions is a fact
-	// about the formula, which later requests only extend with learnt
-	// clauses (consequences, never new constraints on this shape).
+	// stay valid until a delta touches the closure — the objective is a
+	// pure function of (universe, order, roots), and a bound proven under
+	// the request's activation assumptions is a fact about the formula,
+	// which later requests only extend with learnt clauses (consequences,
+	// never new constraints on this shape).
 	memo, _ := se.bounds.get(shapeKey)
 	memoHit := memo != nil
-	var order []string
-	var reach map[string]bool
+	var cl *closure
 	var objTerms []sat.PBTerm
 	var total int64
 	if memo != nil {
-		order, objTerms, total = memo.order, memo.terms, memo.total
+		cl, objTerms, total = memo.cl, memo.terms, memo.total
 	} else {
-		var err error
-		order, reach, err = reachable(se.u, roots)
-		if err != nil {
-			return nil, err
+		// The closure depends on the roots alone: a shape whose root set
+		// another live shape already walked (another objective, another
+		// installed profile) shares that walk.
+		cl = se.closures[rootSetKey(parts)]
+		if cl == nil {
+			order, reach, err := reachable(se.u, roots)
+			if err != nil {
+				return nil, err
+			}
+			cl = &closure{key: rootSetKey(parts), order: order, reach: reach,
+				bounds: map[string]struct{}{}, cached: map[string]struct{}{}}
 		}
 		// First visit of this shape since construction or the last
 		// touching delta: a lazy session encodes whatever the closure
 		// reaches that isn't materialized yet. A bound-memo hit implies
 		// the shape's whole closure already materialized (entries fall
-		// whenever a delta touches their reach set), so the warm path
-		// skips even the membership scan.
+		// whenever a delta touches their closure), so the warm path skips
+		// even the membership scan.
 		if se.lazy {
-			if err := se.materializeLocked(order, roots); err != nil {
+			if err := se.materializeLocked(cl.order, roots); err != nil {
 				return nil, err
 			}
 		}
 	}
+	order := cl.order
 
 	// Map context cancellation onto the solver's asynchronous interrupt so
-	// a solve stops mid-search, not just between rounds. The watcher is
-	// torn down — and the sticky interrupt flag cleared — before the solver
-	// lock is released, so a canceled request can never leak a stop signal
-	// into the next one.
+	// a solve stops mid-search, not just between rounds. The callback is
+	// unregistered — or, if it already started, waited for — and the
+	// sticky interrupt flag cleared before the solver lock is released, so
+	// a canceled request can never leak a stop signal into the next one.
 	if ctx.Done() != nil {
-		watcherStop := make(chan struct{})
-		var watcher sync.WaitGroup
-		watcher.Add(1)
-		go func() {
-			defer watcher.Done()
-			select {
-			case <-ctx.Done():
-				se.solver.Interrupt()
-			case <-watcherStop:
-			}
-		}()
+		interrupted := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			se.solver.Interrupt()
+			close(interrupted)
+		})
 		defer func() {
-			close(watcherStop)
-			watcher.Wait()
+			if !stop() {
+				<-interrupted
+			}
 			se.solver.ClearInterrupt()
 		}()
 	}
@@ -820,8 +839,9 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		if err != nil {
 			return nil, err
 		}
-		memo = &boundEntry{order: order, reach: reach, terms: objTerms, total: total}
+		memo = &boundEntry{cl: cl, terms: objTerms, total: total}
 		se.bounds.put(shapeKey, memo)
+		se.attachClosure(cl, shapeKey, false)
 		// First visit of this shape on a lazy session: seed saved phases
 		// toward the greedy assignment so the descent's first incumbent
 		// starts near the optimum. On the version-deep universes lazy
@@ -1172,18 +1192,18 @@ func (se *Session) decode(order []string) (map[string]version.Version, error) {
 //
 // Lock-interleaving note (audited against Extend's delta-scoped
 // invalidation): the entry is read under the RLock, the lock released, and
-// re-taken exclusively only to promote. An Extend can therefore sweep the
+// re-taken exclusively only to promote. An Extend can therefore drop the
 // entry between the peek and the return — but the peek itself is atomic
-// with respect to the sweep (both hold cacheMu), so a request observes the
-// entry either wholly before the sweep or not at all. A pre-delta answer
+// with respect to the drop (both hold cacheMu), so a request observes the
+// entry either wholly before the drop or not at all. A pre-delta answer
 // is thus only ever served to a Resolve that overlaps the Extend in time —
 // a linearizable ordering (the resolve "happened before" the apply) — and
 // its Stats.Epoch reports the pre-delta epoch it was solved at. A Resolve
-// whose cacheGet starts after Extend returns can never see the swept
-// entry: the sweep completes under cacheMu before Extend's session lock is
+// whose cacheGet starts after Extend returns can never see the dropped
+// entry: the drop completes under cacheMu before Extend's session lock is
 // released, so the happens-before edge is the lock itself. touch() cannot
-// resurrect a swept entry (it promotes only keys still present). Pinned by
-// TestExtendVsCacheGetInterleaving.
+// resurrect a dropped entry (it promotes only keys still present). Pinned
+// by TestExtendVsCacheGetInterleaving.
 func (se *Session) cacheGet(key string, roots []Root) (*Resolution, error, bool) {
 	if se.cache == nil {
 		return nil, nil, false
@@ -1212,21 +1232,21 @@ func (se *Session) cacheGet(key string, roots []Root) (*Resolution, error, bool)
 
 // cachePut memoizes definitive answers: optimal resolutions and proven
 // unsatisfiability. Budget-limited (non-optimal or Unknown) outcomes and
-// request errors are never cached. The entry inherits the shape's
-// reachable set from the bound memo so Extend can invalidate it precisely;
-// callers hold se.mu, which guards the bound memo.
+// request errors are never cached. The entry inherits the shape's closure
+// from the bound memo so Extend can invalidate it precisely; callers hold
+// se.mu, which guards the bound memo and the closure index.
 func (se *Session) cachePut(key string, res *Resolution, err error) {
 	if se.cache == nil {
 		return
 	}
 	memo, ok := se.bounds.peek(key)
 	if !ok {
-		// Without a recorded reach set the entry could never be
-		// invalidated; skip caching (solveLocked banks the memo before
-		// solving, so this is a can't-happen safety net).
+		// Without a closure the entry could never be invalidated; skip
+		// caching (solveLocked banks the memo before solving, so this is a
+		// can't-happen safety net).
 		return
 	}
-	ent := cacheEntry{reach: memo.reach}
+	ent := cacheEntry{cl: memo.cl}
 	switch {
 	case err == nil && res.Stats.Optimal:
 		picks := make(map[string]version.Version, len(res.Picks))
@@ -1242,33 +1262,127 @@ func (se *Session) cachePut(key string, res *Resolution, err error) {
 	se.cacheMu.Lock()
 	se.cache.put(key, ent)
 	se.cacheMu.Unlock()
+	se.attachClosure(memo.cl, key, true)
+}
+
+// closure is the reachability closure of one canonical root set, shared
+// by every bound-memo and solution-cache entry whose shape has those
+// roots, whatever its objective or installed profile. A delta can change
+// an answer over the roots only by touching a name in reach, so Extend
+// drops exactly the entries of the closures its touched names index —
+// apply cost scales with the closures a delta touches, not with how many
+// answers the caches hold. A closure lives in the session's index exactly
+// as long as some entry refers to it (bounds or cached is non-empty).
+// order and reach are shared and must never be mutated.
+type closure struct {
+	key   string          // rootSetKey of the canonical root parts
+	order []string        // reachable packages in BFS order from the roots
+	reach map[string]bool // names whose growth could change an answer
+	// over the roots (reachable packages, dependency-target names, root
+	// names)
+	bounds map[string]struct{} // bound-memo keys referring to the closure
+	cached map[string]struct{} // solution-cache keys referring to it
+}
+
+// attachClosure records that the bound memo (cached false) or the
+// solution cache (cached true) holds key under cl, entering cl into the
+// index if it is not there yet. Callers hold se.mu and call it after the
+// LRU put, whose evictions may have just detached cl's last entry.
+func (se *Session) attachClosure(cl *closure, key string, cached bool) {
+	if se.closures[cl.key] != cl {
+		se.closures[cl.key] = cl
+		for name := range cl.reach {
+			byName := se.closuresByName[name]
+			if byName == nil {
+				byName = make(map[*closure]struct{})
+				se.closuresByName[name] = byName
+			}
+			byName[cl] = struct{}{}
+		}
+	}
+	if cached {
+		cl.cached[key] = struct{}{}
+	} else {
+		cl.bounds[key] = struct{}{}
+	}
+}
+
+// detachClosure is the LRUs' removal hook: key left the bound memo or the
+// solution cache. The closure leaves the index with its last entry.
+// Callers hold se.mu.
+func (se *Session) detachClosure(cl *closure, key string, cached bool) {
+	if cached {
+		delete(cl.cached, key)
+	} else {
+		delete(cl.bounds, key)
+	}
+	if len(cl.bounds) > 0 || len(cl.cached) > 0 {
+		return
+	}
+	delete(se.closures, cl.key)
+	for name := range cl.reach {
+		byName := se.closuresByName[name]
+		delete(byName, cl)
+		if len(byName) == 0 {
+			delete(se.closuresByName, name)
+		}
+	}
+}
+
+// invalidateClosures drops every bound-memo and solution-cache entry whose
+// closure reaches a dirty name; every other entry is left alone. Callers
+// hold se.mu.
+func (se *Session) invalidateClosures(dirty map[string]bool) {
+	var stale []*closure
+	for name := range dirty {
+		for cl := range se.closuresByName[name] {
+			stale = append(stale, cl)
+		}
+	}
+	if len(stale) == 0 {
+		return
+	}
+	// The removal hooks empty each closure's key sets as they go (deleting
+	// during range is safe) and unindex it with its last entry; a closure
+	// listed under several dirty names is already empty the second time.
+	for _, cl := range stale {
+		for key := range cl.bounds {
+			se.bounds.remove(key)
+		}
+	}
+	if se.cache != nil {
+		se.cacheMu.Lock()
+		for _, cl := range stale {
+			for key := range cl.cached {
+				se.cache.remove(key)
+			}
+		}
+		se.cacheMu.Unlock()
+	}
 }
 
 // boundEntry memoizes the solve facts one request shape (objective key +
-// canonical roots) carries for the session's lifetime: the reachability
-// order, the lowered objective terms with their total weight, and the
-// proven lower bound on the optimal cost. The terms and order slices are
-// shared across requests and must never be mutated; the descent loop
-// copies terms into scratch before appending its guard.
+// canonical roots) carries until a delta touches its closure: the
+// closure, the lowered objective terms with their total weight, and the
+// proven lower bound on the optimal cost. The terms slice is shared
+// across requests and must never be mutated; the descent loop copies
+// terms into scratch before appending its guard.
 type boundEntry struct {
 	lo     int64 // optimal cost is proven >= lo for this shape
 	proven bool  // a completed proof backs lo (distinguishes a banked
 	// optimum of zero from "never proved anything")
-	order []string
-	reach map[string]bool // names whose growth could change this shape's
-	// answer (reachable packages, dependency-target names, root names);
-	// Extend drops the entry when a delta touches any of them
+	cl    *closure
 	terms []sat.PBTerm
 	total int64
 }
 
 // cacheEntry is one memoized answer: either an optimal resolution or a
-// proof of unsatisfiability. reach mirrors the shape's bound-memo reach
-// set (shared map) for delta-scoped invalidation.
+// proof of unsatisfiability. cl is the shape's closure, shared with its
+// bound-memo entry, for delta-scoped invalidation.
 type cacheEntry struct {
 	picks map[string]version.Version
 	stats Stats
-	reach map[string]bool
+	cl    *closure
 	unsat bool
 }
 
@@ -1276,15 +1390,18 @@ type cacheEntry struct {
 // cacheMu) and the bound memo (lru[*boundEntry], callers hold mu; unlike
 // the solution cache it memoizes facts about the *search*, bounds and
 // lowered terms rather than answers, so it stays useful even when the
-// solution cache is disabled) — share one LRU core. The activation memo
-// keeps its own list: its eviction must skip the in-flight request's
-// pinned literals and fix evictees false in the solver.
+// solution cache is disabled) — share one LRU core, whose removal hook
+// keeps the closure index in step with what the two LRUs hold. The
+// activation memo keeps its own list: its eviction must skip the
+// in-flight request's pinned literals and fix evictees false in the
+// solver.
 
 // lru is a plain least-recently-used map. Callers synchronize.
 type lru[V any] struct {
-	max int // <0: unbounded
-	ll  *list.List
-	m   map[string]*list.Element
+	max      int // <0: unbounded
+	ll       *list.List
+	m        map[string]*list.Element
+	onRemove func(key string, val V) // called for every entry that leaves
 }
 
 type lruItem[V any] struct {
@@ -1292,8 +1409,8 @@ type lruItem[V any] struct {
 	val V
 }
 
-func newLRU[V any](max int) *lru[V] {
-	return &lru[V]{max: max, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRU[V any](max int, onRemove func(key string, val V)) *lru[V] {
+	return &lru[V]{max: max, ll: list.New(), m: make(map[string]*list.Element), onRemove: onRemove}
 }
 
 func (c *lru[V]) len() int { return len(c.m) }
@@ -1324,33 +1441,32 @@ func (c *lru[V]) get(key string) (V, bool) {
 }
 
 // put inserts or replaces the value, promotes it, and evicts the
-// least-recently-used entries beyond capacity.
+// least-recently-used entries beyond capacity. A replaced value counts as
+// removed.
 func (c *lru[V]) put(key string, val V) {
 	if el, ok := c.m[key]; ok {
-		el.Value.(*lruItem[V]).val = val
+		it := el.Value.(*lruItem[V])
+		old := it.val
+		it.val = val
 		c.ll.MoveToFront(el)
+		c.onRemove(key, old)
 		return
 	}
 	c.m[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
 	if c.max >= 0 {
 		for len(c.m) > c.max {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.m, oldest.Value.(*lruItem[V]).key)
+			c.remove(c.ll.Back().Value.(*lruItem[V]).key)
 		}
 	}
 }
 
-// sweep removes every entry drop reports true for. Extend uses it for
-// delta-scoped invalidation of the bound memo and the solution cache.
-func (c *lru[V]) sweep(drop func(key string, val V) bool) {
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		it := el.Value.(*lruItem[V])
-		if drop(it.key, it.val) {
-			c.ll.Remove(el)
-			delete(c.m, it.key)
-		}
-		el = next
+// remove deletes the entry if present.
+func (c *lru[V]) remove(key string) {
+	el, ok := c.m[key]
+	if !ok {
+		return
 	}
+	c.ll.Remove(el)
+	delete(c.m, key)
+	c.onRemove(key, el.Value.(*lruItem[V]).val)
 }

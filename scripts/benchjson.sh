@@ -1,14 +1,17 @@
 #!/bin/sh
-# benchjson.sh <label> — convert `go test -bench` output (stdin) into the
-# perf-trajectory JSON recorded as BENCH_<label>.json at the repo root.
+# benchjson.sh <label> <suite> — convert `go test -bench` output (stdin)
+# into the perf-trajectory JSON recorded as BENCH_<label>.json at the repo
+# root. <suite> is the -bench pattern the run used (the Makefile passes its
+# BENCH_PATTERN), recorded so each file names what it measured.
 # Each entry carries the benchmark name (CPU-count suffix stripped), the
 # owning package, and the measured ns/op, B/op, and allocs/op — plus the
 # custom units the registry suite reports via b.ReportMetric: solver_vars
 # (lazy-encoder coverage) and heap_bytes (one warmed session's footprint).
 set -eu
-label="${1:?usage: benchjson.sh <label> < bench-output}"
+label="${1:?usage: benchjson.sh <label> <suite> < bench-output}"
+suite="${2:?usage: benchjson.sh <label> <suite> < bench-output}"
 
-printf '{\n  "label": "%s",\n  "suite": "BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPortfolio|BenchmarkSessionResolver|BenchmarkRegistry",\n  "benchmarks": [\n' "$label"
+printf '{\n  "label": "%s",\n  "suite": "%s",\n  "benchmarks": [\n' "$label" "$suite"
 awk '
 /^pkg: /       { pkg = $2 }
 /^goos: /      { goos = $2 }
